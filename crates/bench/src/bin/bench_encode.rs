@@ -9,9 +9,9 @@
 //!
 //! Defaults: `BENCH_encode.json` in the current directory, 64 MB of seeded
 //! data. Also records the streamed pipeline's peak live pooled buffers — the
-//! bounded-memory evidence: the buffered path holds every chunk and every
-//! share at once (`num_secrets * (n + 1)` buffers), the streamed path holds a
-//! pipeline-depth's worth regardless of input size.
+//! bounded-memory evidence: the buffered batch encode holds every chunk and
+//! every share at once (`num_secrets * (n + 1)` buffers), the streamed path
+//! holds a pipeline-depth's worth regardless of input size.
 
 use serde::Serialize;
 

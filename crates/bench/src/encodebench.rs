@@ -10,11 +10,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cdstore_chunking::{ChunkStream, ChunkerConfig, ChunkerKind};
-use cdstore_core::{encode_stream, ParallelCoder, PipelineConfig};
+use cdstore_core::{encode_stream, PipelineConfig};
 use cdstore_crypto::Fingerprint;
 use cdstore_secretsharing::{BufferPool, PoolStats, SecretSharing};
 
-use crate::MB;
+use crate::{parallel_map, MB};
 
 /// Chunking throughput (MB/s) of one algorithm over `data`, measured through
 /// the streaming cutter with a single reused chunk buffer — the allocation
@@ -38,8 +38,8 @@ pub fn chunking_speed(kind: ChunkerKind, config: ChunkerConfig, data: &[u8]) -> 
 }
 
 /// Buffered chunk+encode throughput (MB/s of original data): materialise
-/// every chunk, batch-encode with [`ParallelCoder`], and fingerprint every
-/// share — the same work the buffered `prepare` path performs, so the
+/// every chunk, batch-encode it on `threads` coding threads, and fingerprint
+/// every share — the same per-secret work as the streamed pipeline, so the
 /// streamed/buffered comparison is like for like.
 pub fn buffered_encode_speed(
     scheme: &(dyn SecretSharing + Sync),
@@ -52,8 +52,9 @@ pub fn buffered_encode_speed(
     let start = Instant::now();
     let chunks = chunker.chunk(data);
     let secrets: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-    let coder = ParallelCoder::new(scheme, threads);
-    let share_sets = coder.encode_batch(&secrets).expect("encoding failed");
+    let share_sets = parallel_map(&secrets, threads, |s| {
+        scheme.split(s).expect("encoding failed")
+    });
     let fingerprints: Vec<Vec<Fingerprint>> = share_sets
         .iter()
         .map(|shares| shares.iter().map(|s| Fingerprint::of(s)).collect())

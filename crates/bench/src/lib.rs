@@ -45,6 +45,32 @@ pub fn random_secrets(total_bytes: usize, avg_chunk: usize, seed: u64) -> Vec<Ve
     secrets
 }
 
+/// Applies `op` to every item on `threads` scoped coding threads, each
+/// taking one contiguous slice, and returns the results in input order —
+/// the secret-level parallelism of §4.6 applied to an in-memory batch, as
+/// the Figure 5 thread sweeps measure it. One thread runs inline.
+pub(crate) fn parallel_map<I: Sync, O: Send>(
+    items: &[I],
+    threads: usize,
+    op: impl Fn(&I) -> O + Sync,
+) -> Vec<O> {
+    if threads <= 1 || items.is_empty() {
+        return items.iter().map(op).collect();
+    }
+    let per_thread = items.len().div_ceil(threads.min(items.len()));
+    let op = &op;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(per_thread)
+            .map(|slice| scope.spawn(move || slice.iter().map(op).collect::<Vec<O>>()))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("coding thread panicked"))
+            .collect()
+    })
+}
+
 /// Measures the encoding speed (MB/s of original data) of a scheme over a
 /// batch of secrets using `threads` coding threads.
 pub fn encoding_speed(
@@ -52,10 +78,11 @@ pub fn encoding_speed(
     secrets: &[Vec<u8>],
     threads: usize,
 ) -> f64 {
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
     let total_bytes: usize = secrets.iter().map(|s| s.len()).sum();
     let start = Instant::now();
-    let shares = coder.encode_batch(secrets).expect("encoding failed");
+    let shares = parallel_map(secrets, threads, |s| {
+        scheme.split(s).expect("encoding failed")
+    });
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(shares.len(), secrets.len());
     total_bytes as f64 / MB / elapsed
@@ -68,8 +95,9 @@ pub fn decoding_speed(
     secrets: &[Vec<u8>],
     threads: usize,
 ) -> f64 {
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
-    let encoded = coder.encode_batch(secrets).expect("encoding failed");
+    let encoded = parallel_map(secrets, threads, |s| {
+        scheme.split(s).expect("encoding failed")
+    });
     let items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
         .into_iter()
         .zip(secrets)
@@ -81,7 +109,9 @@ pub fn decoding_speed(
         .collect();
     let total_bytes: usize = secrets.iter().map(|s| s.len()).sum();
     let start = Instant::now();
-    let decoded = coder.decode_batch(&items).expect("decoding failed");
+    let decoded = parallel_map(&items, threads, |(shares, len)| {
+        scheme.reconstruct(shares, *len).expect("decoding failed")
+    });
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(decoded.len(), secrets.len());
     total_bytes as f64 / MB / elapsed
@@ -98,8 +128,9 @@ pub fn chunk_and_encode_speed(
     let start = Instant::now();
     let chunks = cdstore_chunking::Chunker::chunk(&chunker, data);
     let secrets: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-    let coder = cdstore_core::ParallelCoder::new(scheme, threads);
-    coder.encode_batch(&secrets).expect("encoding failed");
+    parallel_map(&secrets, threads, |s| {
+        scheme.split(s).expect("encoding failed")
+    });
     let elapsed = start.elapsed().as_secs_f64();
     data.len() as f64 / MB / elapsed
 }

@@ -10,17 +10,12 @@
 //! * [`flow`] — a max-min-fair fluid flow simulator that models concurrent
 //!   transfers sharing links, disks, and CPU stages; used for the
 //!   multi-client aggregate experiments (Figure 8).
-//! * [`cloud`] — [`cloud::SimCloud`], one simulated cloud combining an object
-//!   store, a bandwidth profile, and failure injection, and
-//!   [`cloud::MultiCloud`], the set of `n` clouds a CDStore deployment spans.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cloud;
 pub mod flow;
 pub mod profile;
 
-pub use cloud::{CloudError, MultiCloud, SimCloud};
 pub use flow::{Flow, FlowSimulator, Resource};
 pub use profile::{CloudProfile, Direction};

@@ -113,18 +113,6 @@ impl CloudProfile {
         }
     }
 
-    /// The profile as [`cdstore_storage::Shaping`], for driving a
-    /// [`cdstore_storage::FaultPlan`] with this cloud's Table 2 numbers —
-    /// the chaos harness uses this to shape real wall-clock delays where the
-    /// simulator only accounts simulated seconds.
-    pub fn shaping(&self) -> cdstore_storage::Shaping {
-        cdstore_storage::Shaping {
-            latency_ms: self.latency_ms,
-            upload_mbps: self.upload_mbps,
-            download_mbps: self.download_mbps,
-        }
-    }
-
     /// Time in seconds to transfer `bytes` in one direction at the mean
     /// bandwidth, including one latency round trip per `unit_bytes` request
     /// (the client batches shares into 4 MB units, §4.1).

@@ -1,28 +1,27 @@
 //! The CDStore client (§4.1–§4.3): chunking, CAONT-RS encoding, intra-user
 //! deduplication, batched uploads, and restores.
 //!
-//! Two data paths share every protocol decision:
-//!
-//! * the buffered path ([`CdStoreClient::prepare`] → [`CdStoreClient::commit`])
-//!   materialises the whole file, and remains available so callers can split
-//!   the CPU and server halves of an upload;
-//! * the streaming path ([`CdStoreClient::upload_stream`] /
-//!   [`CdStoreClient::download_stream`]) pulls from any [`std::io::Read`] and
-//!   pushes to any [`std::io::Write`], keeping peak memory bounded by the
-//!   pipeline depth and the 4 MB per-cloud batches instead of the file size.
+//! Every upload takes one path: the chunks — cut from any [`std::io::Read`]
+//! by [`CdStoreClient::upload_stream`], or supplied pre-cut to
+//! [`CdStoreClient::upload_chunks`] — run through the encode pipeline
+//! ([`crate::pipeline`]), and one committer applies both dedup stages and
+//! ships each cloud's shares in 4 MB batches while later chunks are still
+//! being encoded. Restores ([`CdStoreClient::download_stream`]) push to any
+//! [`std::io::Write`] in bounded windows. Peak memory is set by the pipeline
+//! depth, the per-cloud batches and the restore window, never the file size.
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::sync::Arc;
 
-use cdstore_chunking::{Chunker, ChunkerConfig, ChunkerKind};
+use cdstore_chunking::{ChunkStream, Chunker, ChunkerConfig, ChunkerKind};
 use cdstore_crypto::Fingerprint;
 use cdstore_secretsharing::{BufferPool, CaontRs, SecretSharing};
 
 use crate::dedup::DedupStats;
 use crate::error::CdStoreError;
 use crate::metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-use crate::pipeline::{encode_stream, EncodedSecret, PipelineConfig};
+use crate::pipeline::{encode_source, ChunkSource, EncodedSecret, PipelineConfig, PreCutChunks};
 use crate::retry::{is_transient, RetryPolicy};
 use crate::transport::ServerTransport;
 
@@ -45,8 +44,6 @@ pub struct UploadReport {
     pub dedup: DedupStats,
     /// Share bytes transferred to each cloud after intra-user deduplication.
     pub transferred_per_cloud: Vec<u64>,
-    /// Number of 4 MB upload batches sent to each cloud.
-    pub batches_per_cloud: Vec<u64>,
     /// Share bytes newly stored at each cloud after inter-user deduplication.
     pub physical_per_cloud: Vec<u64>,
 }
@@ -55,29 +52,6 @@ impl UploadReport {
     /// Convenience accessor mirroring §5.4's "logical data".
     pub fn logical_bytes(&self) -> u64 {
         self.dedup.logical_bytes
-    }
-}
-
-/// The output of the CPU half of an upload ([`CdStoreClient::prepare`]):
-/// encoded shares staged per cloud plus the recipe entries, ready to be
-/// committed to the servers with [`CdStoreClient::commit`].
-pub struct PreparedUpload {
-    num_secrets: usize,
-    file_size: u64,
-    dedup: DedupStats,
-    recipes: Vec<Vec<RecipeEntry>>,
-    pending: Vec<Vec<(ShareMetadata, Vec<u8>)>>,
-}
-
-impl PreparedUpload {
-    /// Number of secrets (chunks) the file produced.
-    pub fn num_secrets(&self) -> usize {
-        self.num_secrets
-    }
-
-    /// Logical size of the file in bytes.
-    pub fn file_size(&self) -> u64 {
-        self.file_size
     }
 }
 
@@ -171,9 +145,7 @@ impl CdStoreClient {
     /// Uploads require all `n` clouds so redundancy is not silently degraded.
     ///
     /// Thin wrapper over [`CdStoreClient::upload_stream`] — an in-memory
-    /// slice is just one shape of `Read` source. Callers that need the CPU
-    /// and server halves split (e.g. to encode outside a lock) can still use
-    /// [`CdStoreClient::prepare`] + [`CdStoreClient::commit`].
+    /// slice is just one shape of `Read` source.
     pub fn upload<T: ServerTransport>(
         &self,
         servers: &[T],
@@ -187,10 +159,11 @@ impl CdStoreClient {
     /// counterpart of [`CdStoreClient::upload`].
     ///
     /// Chunks are cut as bytes arrive, encoded by the staged pipeline (see
-    /// [`encode_stream`]), deduplicated intra-user, and shipped to each cloud
-    /// in [`UPLOAD_BATCH_BYTES`] batches *while later chunks are still being
-    /// encoded* — CPU and network overlap, and peak memory is bounded by the
-    /// pipeline depth plus the per-cloud batch buffers, never the file size.
+    /// [`crate::pipeline`]), deduplicated intra-user, and shipped to each
+    /// cloud in [`UPLOAD_BATCH_BYTES`] batches *while later chunks are still
+    /// being encoded* — CPU and network overlap, and peak memory is bounded
+    /// by the pipeline depth plus the per-cloud batch buffers, never the
+    /// file size.
     pub fn upload_stream<T: ServerTransport, R: Read + Send>(
         &self,
         servers: &[T],
@@ -198,20 +171,44 @@ impl CdStoreClient {
         reader: R,
         config: &PipelineConfig,
     ) -> Result<UploadReport, CdStoreError> {
-        self.upload_stream_with_batch(servers, pathname, reader, config, UPLOAD_BATCH_BYTES)
+        let source =
+            ChunkStream::with_buffer_size(self.chunker.as_ref(), reader, config.read_buffer.max(1));
+        self.upload_source(servers, pathname, source, config, UPLOAD_BATCH_BYTES)
     }
 
-    /// [`CdStoreClient::upload_stream`] with an explicit per-cloud batch
-    /// size, for tests and benchmarks that want to observe batching.
-    pub fn upload_stream_with_batch<T: ServerTransport, R: Read + Send>(
+    /// Uploads a file already divided into secrets (chunks). Used directly by
+    /// the trace-driven experiments, where the datasets provide chunk
+    /// boundaries (§5.2). The chunks take the same pipeline and batching as
+    /// [`CdStoreClient::upload_stream`]; only the chunker is bypassed.
+    pub fn upload_chunks<T: ServerTransport>(
         &self,
         servers: &[T],
         pathname: &str,
-        reader: R,
+        chunks: &[Vec<u8>],
+    ) -> Result<UploadReport, CdStoreError> {
+        let source = PreCutChunks(chunks.iter());
+        let config = PipelineConfig::default();
+        self.upload_source(servers, pathname, source, &config, UPLOAD_BATCH_BYTES)
+    }
+
+    /// The one upload path: encodes `source` through the pipeline and feeds
+    /// each secret, in order, to a [`StreamCommitter`] shipping per-cloud
+    /// batches of `batch_bytes`.
+    fn upload_source<T: ServerTransport>(
+        &self,
+        servers: &[T],
+        pathname: &str,
+        source: impl ChunkSource + Send,
         config: &PipelineConfig,
         batch_bytes: u64,
     ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
+        if servers.len() != self.n {
+            return Err(CdStoreError::InvalidConfig(format!(
+                "expected {} servers, got {}",
+                self.n,
+                servers.len()
+            )));
+        }
         // Resolve the buffer pool here so the committer can keep recycling
         // batch buffers after the encode pipeline itself has shut down.
         let pool = config
@@ -221,195 +218,14 @@ impl CdStoreClient {
         let mut pipeline_config = config.clone();
         pipeline_config.pool = Some(Arc::clone(&pool));
         let mut committer = StreamCommitter::new(self, servers, pool, batch_bytes.max(1));
-        let streamed = encode_stream(
-            &self.scheme,
-            self.chunker.as_ref(),
-            reader,
-            &pipeline_config,
-            |enc, _| committer.absorb(enc),
-        );
-        let report = match streamed {
+        let encoded = encode_source(&self.scheme, source, &pipeline_config, |enc, _| {
+            committer.absorb(enc)
+        });
+        let report = match encoded {
             Ok(_) => committer.finalize(pathname),
             Err(e) => Err(e),
         };
         report.inspect_err(|_| committer.abandon())
-    }
-
-    /// Uploads a file already divided into secrets (chunks). Used directly by
-    /// the trace-driven experiments, where the datasets provide chunk
-    /// boundaries (§5.2).
-    pub fn upload_chunks<T: ServerTransport>(
-        &self,
-        servers: &[T],
-        pathname: &str,
-        chunks: &[Vec<u8>],
-    ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
-        let prepared = self.prepare_chunks(chunks)?;
-        self.commit(servers, pathname, prepared)
-    }
-
-    /// Rejects a server slice of the wrong length before any encoding work.
-    fn check_server_count<T: ServerTransport>(&self, servers: &[T]) -> Result<(), CdStoreError> {
-        if servers.len() != self.n {
-            return Err(CdStoreError::InvalidConfig(format!(
-                "expected {} servers, got {}",
-                self.n,
-                servers.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// The CPU half of an upload: chunks the data and runs
-    /// [`CdStoreClient::prepare_chunks`]. Touches no server, so callers
-    /// (e.g. `CdStore`) can run it outside any per-file ordering lock.
-    pub fn prepare(&self, data: &[u8]) -> Result<PreparedUpload, CdStoreError> {
-        let chunks = self.chunker.chunk(data);
-        let chunk_data: Vec<Vec<u8>> = chunks.into_iter().map(|c| c.data).collect();
-        self.prepare_chunks(&chunk_data)
-    }
-
-    /// The CPU half of an upload for pre-chunked data: CAONT-RS encodes
-    /// every secret, fingerprints the shares, builds the per-cloud recipes,
-    /// and stages the candidate shares (first stage of intra-user dedup).
-    pub fn prepare_chunks(&self, chunks: &[Vec<u8>]) -> Result<PreparedUpload, CdStoreError> {
-        let mut dedup = DedupStats::new();
-        let mut recipes: Vec<Vec<RecipeEntry>> = vec![Vec::with_capacity(chunks.len()); self.n];
-        // Per-cloud upload staging: (metadata, share bytes).
-        let mut pending: Vec<Vec<(ShareMetadata, Vec<u8>)>> = vec![Vec::new(); self.n];
-        // Client-local view of what this user has already scheduled in this
-        // upload (first stage of intra-user dedup, before asking the server).
-        let mut scheduled: Vec<std::collections::HashSet<Fingerprint>> =
-            vec![std::collections::HashSet::new(); self.n];
-
-        for (seq, secret) in chunks.iter().enumerate() {
-            dedup.logical_bytes += secret.len() as u64;
-            let shares = self.scheme.split(secret)?;
-            // Fingerprint all n shares in one batch so the multi-lane SHA-256
-            // path can interleave them instead of hashing one at a time.
-            let share_refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
-            let fingerprints = Fingerprint::of_batch(&share_refs);
-            for (cloud, (share, fp)) in shares.into_iter().zip(fingerprints).enumerate() {
-                dedup.logical_share_bytes += share.len() as u64;
-                recipes[cloud].push(RecipeEntry {
-                    share_fingerprint: fp,
-                    secret_size: secret.len() as u32,
-                });
-                if scheduled[cloud].contains(&fp) {
-                    continue;
-                }
-                scheduled[cloud].insert(fp);
-                pending[cloud].push((
-                    ShareMetadata {
-                        fingerprint: fp,
-                        share_size: share.len() as u32,
-                        secret_seq: seq as u64,
-                        secret_size: secret.len() as u32,
-                    },
-                    share,
-                ));
-            }
-        }
-
-        Ok(PreparedUpload {
-            num_secrets: chunks.len(),
-            file_size: chunks.iter().map(|c| c.len() as u64).sum(),
-            dedup,
-            recipes,
-            pending,
-        })
-    }
-
-    /// The server half of an upload: second-stage intra-user dedup queries,
-    /// batched share transfer, and the per-cloud metadata offload. Callers
-    /// serialising writes per file need to hold their ordering lock only
-    /// around this call.
-    pub fn commit<T: ServerTransport>(
-        &self,
-        servers: &[T],
-        pathname: &str,
-        prepared: PreparedUpload,
-    ) -> Result<UploadReport, CdStoreError> {
-        self.check_server_count(servers)?;
-        let PreparedUpload {
-            num_secrets,
-            file_size,
-            mut dedup,
-            mut recipes,
-            mut pending,
-        } = prepared;
-
-        let mut transferred_per_cloud = vec![0u64; self.n];
-        let mut physical_per_cloud = vec![0u64; self.n];
-        let mut batches_per_cloud = vec![0u64; self.n];
-        // Which shares this upload physically sent per cloud: put_file needs
-        // them to settle the reference counts (the per-upload references are
-        // swapped for per-recipe-entry references).
-        let mut uploaded_per_cloud: Vec<Vec<Fingerprint>> = vec![Vec::new(); self.n];
-
-        for (cloud, server) in servers.iter().enumerate() {
-            // Second-stage intra-user dedup query + share transfer, with
-            // bounded retry on transient faults (each retry rolls the failed
-            // attempt's references back and redoes the query).
-            match ship_batch(server, self.user, &self.retry, &mut pending[cloud], None) {
-                Ok(shipment) => {
-                    transferred_per_cloud[cloud] = shipment.transferred;
-                    batches_per_cloud[cloud] =
-                        shipment.transferred.div_ceil(UPLOAD_BATCH_BYTES).max(1);
-                    dedup.transferred_share_bytes += shipment.transferred;
-                    physical_per_cloud[cloud] = shipment.new_bytes;
-                    dedup.physical_share_bytes += shipment.new_bytes;
-                    uploaded_per_cloud[cloud] = shipment.uploaded;
-                }
-                Err(e) => {
-                    // Abandon the upload without leaking: the failing cloud
-                    // holds no references (ship_batch rolled them back), but
-                    // earlier clouds still hold their transient per-upload
-                    // references — drop those so the shares become
-                    // reclaimable.
-                    for done in 0..cloud {
-                        let _ = servers[done].release_uploads(self.user, &uploaded_per_cloud[done]);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-
-        // Offload file metadata: each server gets its own recipe, keyed by its
-        // own share of the encoded pathname.
-        let encoded_paths = self.encode_pathname(pathname)?;
-        for (cloud, server) in servers.iter().enumerate() {
-            let recipe = FileRecipe {
-                file_size,
-                entries: std::mem::take(&mut recipes[cloud]),
-            };
-            if let Err(e) = server.put_file(
-                self.user,
-                &encoded_paths[cloud],
-                &recipe,
-                &uploaded_per_cloud[cloud],
-            ) {
-                // Abandon the upload without leaking: the failing server
-                // rolled its own references back, but the clouds not yet
-                // reached still hold the transient per-upload references
-                // store_shares took — drop those so the shares become
-                // reclaimable. (Clouds already committed keep their recipes;
-                // a retried backup supersedes them.)
-                for later in cloud + 1..self.n {
-                    let _ = servers[later].release_uploads(self.user, &uploaded_per_cloud[later]);
-                }
-                return Err(e);
-            }
-        }
-
-        Ok(UploadReport {
-            num_secrets,
-            dedup,
-            transferred_per_cloud,
-            batches_per_cloud,
-            physical_per_cloud,
-        })
     }
 
     /// Restores a file by contacting any `k` of the `n` servers.
@@ -589,15 +405,15 @@ struct BatchShipment {
 /// scratch — release is a tolerant no-op for shares the attempt never
 /// reached.
 ///
-/// On success the batch is consumed (buffers recycled through `pool` when
-/// given); on a permanent failure the batch is left intact and the failing
-/// server holds no references from it.
+/// On success the batch is consumed (buffers recycled through `pool`); on a
+/// permanent failure the batch is left intact and the failing server holds
+/// no references from it.
 fn ship_batch<T: ServerTransport>(
     server: &T,
     user: u64,
     retry: &RetryPolicy,
     batch: &mut Vec<(ShareMetadata, Vec<u8>)>,
-    pool: Option<&BufferPool>,
+    pool: &BufferPool,
 ) -> Result<BatchShipment, CdStoreError> {
     if batch.is_empty() {
         return Ok(BatchShipment::default());
@@ -620,10 +436,8 @@ fn ship_batch<T: ServerTransport>(
                 let transferred: u64 = to_upload.iter().map(|(_, d)| d.len() as u64).sum();
                 let uploaded: Vec<Fingerprint> =
                     to_upload.iter().map(|(m, _)| m.fingerprint).collect();
-                if let Some(pool) = pool {
-                    for (_, share) in to_upload {
-                        pool.put(share);
-                    }
+                for (_, share) in to_upload {
+                    pool.put(share);
                 }
                 Ok(BatchShipment {
                     uploaded,
@@ -643,24 +457,20 @@ fn ship_batch<T: ServerTransport>(
     })?;
     // Recycle the remaining (duplicate) share buffers and empty the batch.
     for (_, share) in batch.drain(..) {
-        if let Some(pool) = pool {
-            if !share.is_empty() {
-                pool.put(share);
-            }
+        if !share.is_empty() {
+            pool.put(share);
         }
     }
     Ok(shipment)
 }
 
-/// The store half of a streamed upload: accumulates per-cloud 4 MB batches
-/// of non-duplicate shares as the encode pipeline emits secrets, flushes
-/// each batch through second-stage intra-user dedup + `store_shares`, and
+/// The store half of every upload: accumulates per-cloud 4 MB batches of
+/// non-duplicate shares as the encode pipeline emits secrets, flushes each
+/// batch through second-stage intra-user dedup + `store_shares`, and
 /// offloads the per-cloud recipes once the stream ends.
 ///
-/// Mirrors [`CdStoreClient::commit`]'s protocol exactly — same dedup stages,
-/// same accounting, same rollback obligations — restructured from
-/// cloud-major (whole file to cloud 0, then cloud 1, …) to stream-major
-/// (every cloud fed as secrets arrive).
+/// A file whose shares fit in one batch per cloud issues the query and
+/// store for cloud 0, then 1, …, then `put_file` on every cloud in order.
 struct StreamCommitter<'a, T: ServerTransport> {
     client: &'a CdStoreClient,
     servers: &'a [T],
@@ -677,7 +487,6 @@ struct StreamCommitter<'a, T: ServerTransport> {
     uploaded: Vec<Vec<Fingerprint>>,
     transferred_per_cloud: Vec<u64>,
     physical_per_cloud: Vec<u64>,
-    batches_per_cloud: Vec<u64>,
     num_secrets: usize,
     file_size: u64,
 }
@@ -703,7 +512,6 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             uploaded: vec![Vec::new(); n],
             transferred_per_cloud: vec![0; n],
             physical_per_cloud: vec![0; n],
-            batches_per_cloud: vec![0; n],
             num_secrets: 0,
             file_size: 0,
         }
@@ -763,11 +571,10 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             self.client.user,
             &self.client.retry,
             &mut batch,
-            Some(&self.pool),
+            &self.pool,
         )?;
         self.transferred_per_cloud[cloud] += shipment.transferred;
         self.dedup.transferred_share_bytes += shipment.transferred;
-        self.batches_per_cloud[cloud] += 1;
         self.uploaded[cloud].extend(shipment.uploaded);
         self.physical_per_cloud[cloud] += shipment.new_bytes;
         self.dedup.physical_share_bytes += shipment.new_bytes;
@@ -793,11 +600,10 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
                 &recipe,
                 &self.uploaded[cloud],
             ) {
-                // Same semantics as the buffered commit: the failing server
-                // rolled its own references back and earlier clouds keep
-                // their committed recipes (a retried backup supersedes
-                // them); only clouds not yet reached still hold transient
-                // per-upload references — drop exactly those.
+                // The failing server rolled its own references back and
+                // earlier clouds keep their committed recipes (a retried
+                // backup supersedes them); only clouds not yet reached still
+                // hold transient per-upload references — drop exactly those.
                 for later in cloud + 1..self.client.n {
                     let _ = self.servers[later]
                         .release_uploads(self.client.user, &self.uploaded[later]);
@@ -811,9 +617,6 @@ impl<'a, T: ServerTransport> StreamCommitter<'a, T> {
             num_secrets: self.num_secrets,
             dedup: self.dedup,
             transferred_per_cloud: std::mem::take(&mut self.transferred_per_cloud),
-            // A zero-secret upload still costs one (empty) batch per cloud,
-            // matching the buffered path's accounting.
-            batches_per_cloud: self.batches_per_cloud.iter().map(|&b| b.max(1)).collect(),
             physical_per_cloud: std::mem::take(&mut self.physical_per_cloud),
         })
     }
@@ -977,6 +780,145 @@ mod tests {
         assert_eq!(
             client.download(&servers, &[true; 4], "/empty").unwrap(),
             Vec::<u8>::new()
+        );
+    }
+
+    /// Backup-like data: blocks of pseudo-random content where some blocks
+    /// repeat, so chunking and both dedup stages have real work to do.
+    fn backup_data(seed: u64, len: usize) -> Vec<u8> {
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let blocks: Vec<Vec<u8>> = (0..7)
+            .map(|_| (0..4096).map(|_| (next() >> 24) as u8).collect())
+            .collect();
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let b = &blocks[(next() % blocks.len() as u64) as usize];
+            let take = b.len().min(len - out.len());
+            out.extend_from_slice(&b[..take]);
+        }
+        out
+    }
+
+    /// A small pipeline observed through an explicit pool.
+    fn bounded_pipeline(pool: &Arc<BufferPool>) -> PipelineConfig {
+        PipelineConfig {
+            encode_threads: 2,
+            chunk_queue: 4,
+            encoded_queue: 4,
+            read_buffer: 16 * 1024,
+            pool: Some(Arc::clone(pool)),
+        }
+    }
+
+    /// A streamed backup of a file several times larger than the pipeline's
+    /// buffer budget keeps peak live chunk/share buffers bounded by the
+    /// pipeline depth plus the per-cloud batches — never O(file) — and
+    /// restores byte-exact.
+    #[test]
+    fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
+        let (n, k) = (4usize, 3usize);
+        let servers = make_servers(n);
+        let chunking = ChunkerConfig::new(2048, 8192, 16384);
+        let client =
+            CdStoreClient::with_chunker_kind(1, n, k, ChunkerKind::FastCdc, chunking).unwrap();
+        let pool = Arc::new(BufferPool::new());
+        let config = bounded_pipeline(&pool);
+        let batch_bytes: u64 = 64 * 1024;
+
+        // Byte budget of the pipeline: every pooled buffer holds at most one
+        // max chunk (or one of its shares, which are smaller), plus the n
+        // per-cloud batches. The input is >4x that.
+        let max_chunk = 16 * 1024u64;
+        let budget_bytes =
+            config.max_live_buffers(n) as u64 * max_chunk + n as u64 * (batch_bytes + max_chunk);
+        let data = backup_data(99, 8 * 1024 * 1024);
+        assert!(
+            (data.len() as u64) >= 4 * budget_bytes,
+            "input ({}) must dwarf the buffer budget ({budget_bytes})",
+            data.len()
+        );
+
+        let source = ChunkStream::with_buffer_size(client.chunker(), &data[..], config.read_buffer);
+        let report = client
+            .upload_source(&servers, "/huge", source, &config, batch_bytes)
+            .unwrap();
+        assert!(report.num_secrets as u64 > 4 * config.max_live_secrets() as u64);
+
+        // Buffer-count bound: the pipeline's live secrets, plus what the
+        // per-cloud batches can retain (each batched share is at least a
+        // min-chunk share).
+        let min_share = client.scheme().total_share_size(2048) as u64 / n as u64;
+        let bound = config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
+        let stats = pool.stats();
+        assert!(
+            (stats.peak_outstanding as u64) <= bound,
+            "peak live buffers {} exceeded the pipeline bound {bound}",
+            stats.peak_outstanding
+        );
+        assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
+        assert!(
+            stats.reuses > 10 * stats.allocations,
+            "steady state must recycle buffers (allocs={}, reuses={})",
+            stats.allocations,
+            stats.reuses
+        );
+
+        let mut restored = Vec::new();
+        let written = client
+            .download_stream(&servers, &[true; 4], "/huge", &mut restored)
+            .unwrap();
+        assert_eq!(written, data.len() as u64);
+        assert_eq!(restored, data);
+    }
+
+    /// Pre-cut chunks stream through the same pipeline and batches: live
+    /// buffers stay within the pipeline-plus-batch bound however many chunks
+    /// the file has, rather than one buffer per share of the whole file.
+    #[test]
+    fn precut_upload_buffers_are_bounded_by_pipeline_and_batches() {
+        let n = 4usize;
+        let servers = make_servers(n);
+        let client = CdStoreClient::new(1, n, 3).unwrap();
+        let pool = Arc::new(BufferPool::new());
+        let config = bounded_pipeline(&pool);
+        let batch_bytes: u64 = 32 * 1024;
+        let chunk_len = 1024usize;
+        let chunks: Vec<Vec<u8>> = (0..600u64).map(|i| backup_data(i + 1, chunk_len)).collect();
+        assert!(chunks.len() > 20 * config.max_live_secrets());
+
+        let report = client
+            .upload_source(
+                &servers,
+                "/trace",
+                PreCutChunks(chunks.iter()),
+                &config,
+                batch_bytes,
+            )
+            .unwrap();
+        assert_eq!(report.num_secrets, chunks.len());
+
+        let share = (client.scheme().total_share_size(chunk_len) / n) as u64;
+        let bound = config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / share + 1);
+        assert!(
+            bound < (chunks.len() * n) as u64,
+            "bound must not cover the file"
+        );
+        let stats = pool.stats();
+        assert!(
+            (stats.peak_outstanding as u64) <= bound,
+            "peak live buffers {} exceeded the pipeline-plus-batch bound {bound}",
+            stats.peak_outstanding
+        );
+        assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
+        assert_eq!(
+            client.download(&servers, &[true; 4], "/trace").unwrap(),
+            chunks.concat()
         );
     }
 

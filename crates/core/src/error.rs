@@ -2,7 +2,6 @@
 
 use core::fmt;
 
-use cdstore_cloudsim::CloudError;
 use cdstore_secretsharing::SharingError;
 use cdstore_storage::StorageError;
 
@@ -15,8 +14,6 @@ pub enum CdStoreError {
     Sharing(SharingError),
     /// A container / backend storage error on some server.
     Storage(StorageError),
-    /// A simulated-cloud error (e.g. the cloud is unavailable).
-    Cloud(CloudError),
     /// Fewer than `k` CDStore servers are reachable.
     NotEnoughClouds {
         /// Servers required (`k`).
@@ -47,7 +44,6 @@ impl fmt::Display for CdStoreError {
             CdStoreError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             CdStoreError::Sharing(e) => write!(f, "convergent dispersal error: {e}"),
             CdStoreError::Storage(e) => write!(f, "storage error: {e}"),
-            CdStoreError::Cloud(e) => write!(f, "cloud error: {e}"),
             CdStoreError::NotEnoughClouds { needed, available } => {
                 write!(
                     f,
@@ -75,12 +71,6 @@ impl From<SharingError> for CdStoreError {
 impl From<StorageError> for CdStoreError {
     fn from(e: StorageError) -> Self {
         CdStoreError::Storage(e)
-    }
-}
-
-impl From<CloudError> for CdStoreError {
-    fn from(e: CloudError) -> Self {
-        CdStoreError::Cloud(e)
     }
 }
 

@@ -25,8 +25,8 @@
 //! * [`metadata`] — file recipes and share metadata exchanged between the two.
 //! * [`dedup`] — the two-stage deduplication bookkeeping used by the
 //!   deduplication-efficiency experiments.
-//! * [`pipeline`] — multi-threaded encode/decode used by the performance
-//!   experiments (§4.6).
+//! * [`pipeline`] — the multi-threaded encode engine every upload runs
+//!   through (§4.6).
 //! * [`system`] — [`CdStore`], a façade wiring one client to `n` servers; the
 //!   entry point for most users. Generic over [`transport::ServerTransport`],
 //!   defaulting to in-process servers over simulated clouds.
@@ -67,15 +67,11 @@ pub mod system;
 pub mod transport;
 pub mod wal;
 
-pub use client::{
-    CdStoreClient, PreparedUpload, UploadReport, RESTORE_WINDOW_SECRETS, UPLOAD_BATCH_BYTES,
-};
+pub use client::{CdStoreClient, UploadReport, RESTORE_WINDOW_SECRETS, UPLOAD_BATCH_BYTES};
 pub use dedup::DedupStats;
 pub use error::CdStoreError;
 pub use metadata::{FileRecipe, RecipeEntry, ShareMetadata};
-pub use pipeline::{
-    encode_stream, EncodeStreamReport, EncodedSecret, ParallelCoder, PipelineConfig,
-};
+pub use pipeline::{encode_stream, EncodeStreamReport, EncodedSecret, PipelineConfig};
 pub use retry::{is_transient, RetryPolicy};
 pub use server::{CdStoreServer, GcConfig, GcReport, IndexMode, RecoveryReport, ServerStats};
 pub use system::{CdStore, CdStoreConfig, SystemStats};

@@ -1,19 +1,15 @@
-//! Multi-threaded encode/decode of secrets (§4.6).
+//! The client's encode engine (§4.6): chunk → CAONT-RS encode on coding
+//! threads → in-order sink.
 //!
-//! The CDStore client parallelises the CPU-intensive CAONT-RS operations at
-//! the secret level: each secret produced by the chunking module is handed to
-//! one of a pool of coding threads. This module provides two shapes of that
-//! parallelism:
-//!
-//! * [`ParallelCoder`] — batch-at-once encode/decode of an in-memory slice of
-//!   secrets, used by the buffered APIs and the Figure 5 thread sweeps.
-//! * [`encode_stream`] — a bounded-channel staged pipeline (chunk →
-//!   fingerprint → parallel encode → in-order sink) that pulls chunks
-//!   straight off an [`std::io::Read`] source, so encoding of chunk *i+1*
-//!   overlaps the store RPC for chunk *i* and peak memory is set by
-//!   [`PipelineConfig`] depths rather than file size. Chunk and share
-//!   buffers cycle through a [`BufferPool`], making the steady state
-//!   allocation-free.
+//! Every upload runs through one bounded-channel staged pipeline. A chunker
+//! thread pulls chunks from a source — a [`ChunkStream`] cutting an
+//! [`std::io::Read`] source, or the pre-cut chunks of the trace-driven
+//! workloads, whose datasets fix the chunk boundaries (§5.2) — and coding
+//! threads split and fingerprint them while the sink ships earlier secrets,
+//! so encoding of chunk *i+1* overlaps the store RPC for chunk *i* and peak
+//! memory is set by [`PipelineConfig`] depths rather than file size. Chunk
+//! and share buffers cycle through a [`BufferPool`], making the steady state
+//! allocation-free.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -82,6 +78,33 @@ impl PipelineConfig {
     }
 }
 
+/// Where the pipeline's chunks come from.
+pub(crate) trait ChunkSource {
+    /// Fills `buf` with the next chunk; `Ok(false)` at end of input.
+    fn next_chunk_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<bool>;
+}
+
+impl<R: Read> ChunkSource for ChunkStream<R> {
+    fn next_chunk_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+        ChunkStream::next_chunk_into(self, buf)
+    }
+}
+
+/// Chunks already cut by the caller, copied one at a time into the
+/// pipeline's pooled buffers.
+pub(crate) struct PreCutChunks<'a>(pub(crate) std::slice::Iter<'a, Vec<u8>>);
+
+impl ChunkSource for PreCutChunks<'_> {
+    fn next_chunk_into(&mut self, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+        let Some(chunk) = self.0.next() else {
+            return Ok(false);
+        };
+        buf.clear();
+        buf.extend_from_slice(chunk);
+        Ok(true)
+    }
+}
+
 /// One secret after the encode stage: its `n` shares (index `i` = cloud `i`)
 /// and their fingerprints, tagged with the chunk sequence number.
 ///
@@ -133,11 +156,22 @@ type SharedChunkReceiver = Arc<Mutex<Receiver<(u64, Vec<u8>)>>>;
 ///
 /// With `encode_threads <= 1` there is no parallelism to exploit, so the
 /// stages run inline on the calling thread (same semantics, no channel or
-/// context-switch cost) — mirroring [`ParallelCoder`]'s single-thread mode.
+/// context-switch cost).
 pub fn encode_stream<R: Read + Send>(
     scheme: &(dyn SecretSharing + Sync),
     chunker: &dyn Chunker,
     reader: R,
+    config: &PipelineConfig,
+    sink: impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
+) -> Result<EncodeStreamReport, CdStoreError> {
+    let source = ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
+    encode_source(scheme, source, config, sink)
+}
+
+/// [`encode_stream`] over any [`ChunkSource`].
+pub(crate) fn encode_source<S: ChunkSource + Send>(
+    scheme: &(dyn SecretSharing + Sync),
+    mut source: S,
     config: &PipelineConfig,
     mut sink: impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
@@ -146,16 +180,10 @@ pub fn encode_stream<R: Read + Send>(
         .clone()
         .unwrap_or_else(|| Arc::new(BufferPool::new()));
     let threads = config.encode_threads.max(1);
-    let n = scheme.n();
     if threads == 1 {
-        return encode_stream_inline(scheme, chunker, reader, config, &pool, &mut sink);
+        return encode_inline(scheme, source, &pool, &mut sink);
     }
     let abort = AtomicBool::new(false);
-
-    // The chunker is only borrowed to build the stream; the stream itself
-    // (cutter + reader) moves into the chunker thread.
-    let mut chunk_stream =
-        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
 
     let (chunk_tx, chunk_rx) = sync_channel::<(u64, Vec<u8>)>(config.chunk_queue.max(1));
     let chunk_rx: SharedChunkReceiver = Arc::new(Mutex::new(chunk_rx));
@@ -187,7 +215,7 @@ pub fn encode_stream<R: Read + Send>(
                         return Ok(());
                     }
                     let mut buf = pool.get();
-                    match chunk_stream.next_chunk_into(&mut buf) {
+                    match source.next_chunk_into(&mut buf) {
                         Ok(true) => {
                             if chunk_tx.send((seq, buf)).is_err() {
                                 return Ok(()); // workers gone: abort path
@@ -227,31 +255,8 @@ pub fn encode_stream<R: Read + Send>(
                         pool.put(chunk);
                         continue;
                     }
-                    // A panicking scheme must fail the upload, not the
-                    // process. The crate forbids unsafe code and the closure
-                    // only touches owned data, so unwinding here is benign.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let mut shares: Vec<Vec<u8>> = (0..n).map(|_| pool.get()).collect();
-                        match scheme.split_into(&chunk, &mut shares) {
-                            Ok(()) => {
-                                let refs: Vec<&[u8]> =
-                                    shares.iter().map(|s| s.as_slice()).collect();
-                                let fingerprints = Fingerprint::of_batch(&refs);
-                                Ok(EncodedSecret {
-                                    seq,
-                                    secret_size: chunk.len() as u32,
-                                    shares,
-                                    fingerprints,
-                                })
-                            }
-                            Err(e) => {
-                                pool.put_all(&mut shares);
-                                Err(e)
-                            }
-                        }
-                    }));
+                    let message = encode_chunk(scheme, &pool, seq, &chunk);
                     pool.put(chunk);
-                    let message = outcome.unwrap_or_else(|payload| Err(panic_error(payload)));
                     if enc_tx.send(message).is_err() {
                         return; // sink loop gone
                     }
@@ -331,152 +336,72 @@ pub fn encode_stream<R: Read + Send>(
     result.map(|()| report)
 }
 
-/// The single-threaded body of [`encode_stream`]: chunk → encode → sink run
+/// The single-threaded body of [`encode_source`]: chunk → encode → sink run
 /// inline with one reused chunk buffer, preserving the threaded path's
 /// semantics (in-order delivery, pooled buffers, typed errors) without any
 /// cross-thread handoffs.
-fn encode_stream_inline<R: Read>(
+fn encode_inline(
     scheme: &(dyn SecretSharing + Sync),
-    chunker: &dyn Chunker,
-    reader: R,
-    config: &PipelineConfig,
-    pool: &Arc<BufferPool>,
+    mut source: impl ChunkSource,
+    pool: &BufferPool,
     sink: &mut impl FnMut(EncodedSecret, &BufferPool) -> Result<(), CdStoreError>,
 ) -> Result<EncodeStreamReport, CdStoreError> {
-    let n = scheme.n();
-    let mut chunk_stream =
-        ChunkStream::with_buffer_size(chunker, reader, config.read_buffer.max(1));
     let mut report = EncodeStreamReport {
         num_secrets: 0,
         logical_bytes: 0,
     };
     let mut chunk = pool.get();
-    loop {
-        match chunk_stream.next_chunk_into(&mut chunk) {
+    let result = loop {
+        match source.next_chunk_into(&mut chunk) {
             Ok(true) => {}
-            Ok(false) => {
-                pool.put(chunk);
-                return Ok(report);
-            }
-            Err(e) => {
-                pool.put(chunk);
-                return Err(e.into());
-            }
+            Ok(false) => break Ok(report),
+            Err(e) => break Err(e.into()),
         }
-        // Same unwind shield as the worker threads: a panicking scheme must
-        // fail the upload, not the process.
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut shares: Vec<Vec<u8>> = (0..n).map(|_| pool.get()).collect();
-            match scheme.split_into(&chunk, &mut shares) {
-                Ok(()) => {
-                    let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
-                    let fingerprints = Fingerprint::of_batch(&refs);
-                    Ok((shares, fingerprints))
-                }
-                Err(e) => {
-                    pool.put_all(&mut shares);
-                    Err(e)
-                }
-            }
-        }));
-        let (shares, fingerprints) =
-            match outcome.unwrap_or_else(|payload| Err(panic_error(payload))) {
-                Ok(encoded) => encoded,
-                Err(e) => {
-                    pool.put(chunk);
-                    return Err(e.into());
-                }
-            };
-        let enc = EncodedSecret {
-            seq: report.num_secrets,
-            secret_size: chunk.len() as u32,
-            shares,
-            fingerprints,
+        let enc = match encode_chunk(scheme, pool, report.num_secrets, &chunk) {
+            Ok(enc) => enc,
+            Err(e) => break Err(e.into()),
         };
         report.logical_bytes += enc.secret_size as u64;
         report.num_secrets += 1;
         if let Err(e) = sink(enc, pool) {
-            pool.put(chunk);
-            return Err(e);
+            break Err(e);
         }
-    }
+    };
+    pool.put(chunk);
+    result
 }
 
-/// A parallel encoder/decoder over a secret sharing scheme.
-pub struct ParallelCoder<'a> {
-    scheme: &'a (dyn SecretSharing + Sync),
-    threads: usize,
-}
-
-impl<'a> ParallelCoder<'a> {
-    /// Creates a coder that uses `threads` worker threads (at least 1).
-    pub fn new(scheme: &'a (dyn SecretSharing + Sync), threads: usize) -> Self {
-        ParallelCoder {
-            scheme,
-            threads: threads.max(1),
-        }
-    }
-
-    /// Number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Encodes a batch of secrets into per-secret share vectors, preserving
-    /// input order.
-    pub fn encode_batch(&self, secrets: &[Vec<u8>]) -> Result<Vec<Vec<Vec<u8>>>, SharingError> {
-        self.run(secrets, |scheme, secret| scheme.split(secret))
-    }
-
-    /// Decodes a batch of `(share-slots, secret_len)` items, preserving order.
-    pub fn decode_batch(
-        &self,
-        items: &[(Vec<Option<Vec<u8>>>, usize)],
-    ) -> Result<Vec<Vec<u8>>, SharingError> {
-        self.run(items, |scheme, (shares, len)| {
-            scheme.reconstruct(shares, *len)
-        })
-    }
-
-    fn run<I, O, F>(&self, items: &[I], op: F) -> Result<Vec<O>, SharingError>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&dyn SecretSharing, &I) -> Result<O, SharingError> + Sync,
-    {
-        if items.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.threads == 1 {
-            return items.iter().map(|item| op(self.scheme, item)).collect();
-        }
-        let threads = self.threads.min(items.len());
-        let chunk_size = items.len().div_ceil(threads);
-        let results: Vec<Result<Vec<O>, SharingError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for chunk in items.chunks(chunk_size) {
-                let op = &op;
-                let scheme = self.scheme;
-                handles.push(scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|item| op(scheme, item))
-                        .collect::<Result<Vec<O>, _>>()
-                }));
+/// Splits one chunk into pooled share buffers and fingerprints the shares.
+///
+/// A panicking scheme must fail the upload, not the process, so a panic
+/// becomes [`SharingError::WorkerPanic`]. The crate forbids unsafe code and
+/// the closure only touches owned data, so unwinding here is benign.
+fn encode_chunk(
+    scheme: &(dyn SecretSharing + Sync),
+    pool: &BufferPool,
+    seq: u64,
+    chunk: &[u8],
+) -> Result<EncodedSecret, SharingError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        let mut shares: Vec<Vec<u8>> = (0..scheme.n()).map(|_| pool.get()).collect();
+        match scheme.split_into(chunk, &mut shares) {
+            Ok(()) => {
+                let refs: Vec<&[u8]> = shares.iter().map(|s| s.as_slice()).collect();
+                let fingerprints = Fingerprint::of_batch(&refs);
+                Ok(EncodedSecret {
+                    seq,
+                    secret_size: chunk.len() as u32,
+                    shares,
+                    fingerprints,
+                })
             }
-            // A panicking worker must not take the whole process down with
-            // it: surface the panic as a SharingError to the caller instead.
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|payload| Err(panic_error(payload))))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for r in results {
-            out.extend(r?);
+            Err(e) => {
+                pool.put_all(&mut shares);
+                Err(e)
+            }
         }
-        Ok(out)
-    }
+    }))
+    .unwrap_or_else(|payload| Err(panic_error(payload)))
 }
 
 /// Converts a worker thread's panic payload into a [`SharingError`],
@@ -501,70 +426,62 @@ mod tests {
             .collect()
     }
 
+    /// Encodes pre-cut `batch` through the engine with `threads` workers,
+    /// returning each secret's shares in input order.
+    fn encode_precut(
+        scheme: &(dyn SecretSharing + Sync),
+        batch: &[Vec<u8>],
+        threads: usize,
+    ) -> Result<Vec<Vec<Vec<u8>>>, CdStoreError> {
+        let config = PipelineConfig {
+            encode_threads: threads,
+            ..PipelineConfig::default()
+        };
+        let mut out = Vec::new();
+        let report = encode_source(scheme, PreCutChunks(batch.iter()), &config, |enc, _| {
+            assert_eq!(enc.seq, out.len() as u64, "sink saw secrets out of order");
+            out.push(enc.shares);
+            Ok(())
+        })?;
+        assert_eq!(report.num_secrets, batch.len() as u64);
+        assert_eq!(
+            report.logical_bytes,
+            batch.iter().map(|s| s.len() as u64).sum::<u64>()
+        );
+        Ok(out)
+    }
+
     #[test]
     fn parallel_encoding_matches_sequential() {
         let scheme = CaontRs::new(4, 3).unwrap();
         let batch = secrets(37);
-        let sequential = ParallelCoder::new(&scheme, 1).encode_batch(&batch).unwrap();
+        let sequential = encode_precut(&scheme, &batch, 1).unwrap();
+        let expected: Vec<Vec<Vec<u8>>> = batch.iter().map(|s| scheme.split(s).unwrap()).collect();
+        assert_eq!(sequential, expected);
         for threads in [2, 3, 4, 8] {
-            let parallel = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
-                .unwrap();
+            let parallel = encode_precut(&scheme, &batch, threads).unwrap();
             assert_eq!(parallel, sequential, "threads={threads}");
         }
     }
 
     #[test]
-    fn decode_batch_round_trips() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let batch = secrets(20);
-        let coder = ParallelCoder::new(&scheme, 4);
-        let encoded = coder.encode_batch(&batch).unwrap();
-        let items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
-            .into_iter()
-            .zip(&batch)
-            .map(|(shares, secret)| {
-                let mut slots: Vec<Option<Vec<u8>>> = shares.into_iter().map(Some).collect();
-                slots[1] = None; // one cloud missing
-                (slots, secret.len())
-            })
-            .collect();
-        let decoded = coder.decode_batch(&items).unwrap();
-        assert_eq!(decoded, batch);
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 4);
-        assert!(coder.encode_batch(&[]).unwrap().is_empty());
-        assert!(coder.decode_batch(&[]).unwrap().is_empty());
+        for threads in [1, 4] {
+            assert!(encode_precut(&scheme, &[], threads).unwrap().is_empty());
+        }
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let batch = secrets(3);
-        let coder = ParallelCoder::new(&scheme, 16);
-        assert_eq!(coder.encode_batch(&batch).unwrap().len(), 3);
-        assert_eq!(coder.threads(), 16);
+        assert_eq!(encode_precut(&scheme, &secrets(3), 16).unwrap().len(), 3);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_one() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 0);
-        assert_eq!(coder.threads(), 1);
-        assert_eq!(coder.encode_batch(&secrets(2)).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn errors_propagate_from_workers() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 2);
-        // Reconstructing from too few shares must surface the error.
-        let items = vec![(vec![None, None, None, None], 10usize); 4];
-        assert!(coder.decode_batch(&items).is_err());
+        assert_eq!(encode_precut(&scheme, &secrets(2), 0).unwrap().len(), 2);
     }
 
     /// A scheme that fails to split any secret whose first byte is the
@@ -620,18 +537,20 @@ mod tests {
         let mut batch = secrets(24);
         batch[13][0] = POISON;
         for threads in [1, 2, 4, 8] {
-            let err = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
+            let err = encode_precut(&scheme, &batch, threads)
                 .expect_err("poisoned batch must not encode");
             assert!(
-                matches!(err, SharingError::InvalidParameters(_)),
+                matches!(
+                    err,
+                    CdStoreError::Sharing(SharingError::InvalidParameters(_))
+                ),
                 "threads={threads}: unexpected error {err:?}"
             );
         }
         // The same batch without the poisoned secret encodes fine, so the
         // failure above really came from the one bad item.
         batch.remove(13);
-        assert!(ParallelCoder::new(&scheme, 4).encode_batch(&batch).is_ok());
+        assert!(encode_precut(&scheme, &batch, 4).is_ok());
     }
 
     /// A scheme that panics while splitting any secret whose first byte is
@@ -685,62 +604,34 @@ mod tests {
         let mut batch = secrets(24);
         batch[13][0] = POISON;
         for threads in [2, 4, 8] {
-            let err = ParallelCoder::new(&scheme, threads)
-                .encode_batch(&batch)
+            let err = encode_precut(&scheme, &batch, threads)
                 .expect_err("a panicking worker must fail the batch, not the process");
             match err {
-                SharingError::WorkerPanic(msg) => {
+                CdStoreError::Sharing(SharingError::WorkerPanic(msg)) => {
                     assert!(msg.contains("injected worker panic"), "message: {msg}")
                 }
                 other => panic!("threads={threads}: unexpected error {other:?}"),
             }
         }
-        // The same coder still works on a clean batch afterwards.
+        // The same scheme still works on a clean batch afterwards.
         batch.remove(13);
-        assert!(ParallelCoder::new(&scheme, 4).encode_batch(&batch).is_ok());
-    }
-
-    #[test]
-    fn one_failing_item_mid_batch_fails_decode() {
-        let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 3);
-        let batch = secrets(9);
-        let encoded = coder.encode_batch(&batch).unwrap();
-        let mut items: Vec<(Vec<Option<Vec<u8>>>, usize)> = encoded
-            .into_iter()
-            .zip(&batch)
-            .map(|(shares, secret)| (shares.into_iter().map(Some).collect(), secret.len()))
-            .collect();
-        // Drop every share of one mid-batch item: below threshold k.
-        items[5].0.iter_mut().for_each(|slot| *slot = None);
-        assert!(
-            matches!(
-                coder.decode_batch(&items),
-                Err(SharingError::NotEnoughShares { .. })
-            ),
-            "unreconstructable mid-batch item must surface NotEnoughShares"
-        );
+        assert!(encode_precut(&scheme, &batch, 4).is_ok());
     }
 
     #[test]
     fn more_threads_than_items_matches_sequential_output() {
         let scheme = CaontRs::new(4, 3).unwrap();
         let batch = secrets(2);
-        let sequential = ParallelCoder::new(&scheme, 1).encode_batch(&batch).unwrap();
-        // 16 threads for 2 secrets: workers are capped at the batch size and
-        // the output must be identical, element for element, to sequential.
-        let parallel = ParallelCoder::new(&scheme, 16)
-            .encode_batch(&batch)
-            .unwrap();
-        assert_eq!(parallel, sequential);
+        let sequential = encode_precut(&scheme, &batch, 1).unwrap();
+        // 16 workers for 2 secrets: the output must be identical, element
+        // for element, to the inline path.
+        assert_eq!(encode_precut(&scheme, &batch, 16).unwrap(), sequential);
     }
 
     #[test]
     fn single_item_batch_encodes_on_many_threads() {
         let scheme = CaontRs::new(4, 3).unwrap();
-        let coder = ParallelCoder::new(&scheme, 8);
-        let batch = secrets(1);
-        let encoded = coder.encode_batch(&batch).unwrap();
+        let encoded = encode_precut(&scheme, &secrets(1), 8).unwrap();
         assert_eq!(encoded.len(), 1);
         assert_eq!(encoded[0].len(), 4);
     }

@@ -426,47 +426,42 @@ impl<T: ServerTransport> CdStore<T> {
         pathname: &str,
         reader: R,
     ) -> Result<UploadReport, CdStoreError> {
-        self.ensure_all_clouds_up()?;
-        let client = self.client(user)?;
-        // The streaming upload interleaves encoding with server traffic, so
-        // the whole upload runs under the per-file write lock (unrelated
-        // files stay concurrent via the lock striping).
-        let _file = self.path_lock(user, pathname).write();
-        let servers = self.shared.servers.read();
-        let report =
-            client.upload_stream(&servers, pathname, reader, &PipelineConfig::default())?;
-        drop(servers);
-        self.shared.dedup.lock().accumulate(&report.dedup);
-        self.shared
-            .catalog
-            .lock()
-            .insert((user, pathname.to_string()));
-        Ok(report)
+        self.upload_locked(user, pathname, |client, servers| {
+            client.upload_stream(servers, pathname, reader, &PipelineConfig::default())
+        })
     }
 
-    /// Backs up a file already divided into chunks (trace-driven workloads).
-    ///
-    /// Keeps the two-phase buffered path: the CPU-bound prepare (CAONT-RS
-    /// encoding) runs *outside* any lock so unrelated trace replays never
-    /// serialise their encoding, then the server commit runs under the
-    /// per-file write lock.
+    /// Backs up a file already divided into chunks (trace-driven workloads)
+    /// through the same pipeline as [`CdStore::backup_stream`], with the
+    /// same whole-operation retry as [`CdStore::backup`]: pre-cut input is
+    /// replayable and a failed upload rolls back to a replay-safe state.
     pub fn backup_chunks(
         &self,
         user: u64,
         pathname: &str,
         chunks: &[Vec<u8>],
     ) -> Result<UploadReport, CdStoreError> {
+        self.shared.config.retry.run(|_| {
+            self.upload_locked(user, pathname, |client, servers| {
+                client.upload_chunks(servers, pathname, chunks)
+            })
+        })
+    }
+
+    /// Runs one upload of `(user, pathname)` and records it in the dedup
+    /// totals and the catalog, all under the per-file write lock. The
+    /// upload interleaves encoding with server traffic, so all of it holds
+    /// the lock (unrelated files stay concurrent via the lock striping).
+    fn upload_locked(
+        &self,
+        user: u64,
+        pathname: &str,
+        upload: impl FnOnce(&CdStoreClient, &[T]) -> Result<UploadReport, CdStoreError>,
+    ) -> Result<UploadReport, CdStoreError> {
         self.ensure_all_clouds_up()?;
         let client = self.client(user)?;
-        // Whole-operation retry on transient faults (pre-chunked input is
-        // replayable; a failed commit rolls back to a replay-safe state).
-        // Each attempt re-encodes outside the lock and re-commits under it.
-        let report = self.shared.config.retry.run(|_| {
-            let prepared = client.prepare_chunks(chunks)?;
-            let _file = self.path_lock(user, pathname).write();
-            let servers = self.shared.servers.read();
-            client.commit(&servers, pathname, prepared)
-        })?;
+        let _file = self.path_lock(user, pathname).write();
+        let report = upload(&client, &self.shared.servers.read())?;
         self.shared.dedup.lock().accumulate(&report.dedup);
         self.shared
             .catalog

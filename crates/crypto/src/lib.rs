@@ -1,13 +1,12 @@
 //! Pure-Rust cryptographic primitives used by CDStore's convergent dispersal.
 //!
 //! The CDStore paper implements its cryptographic operations with OpenSSL:
-//! SHA-256 for the convergent hash key and deduplication fingerprints,
-//! AES-256 for the AONT mask generator, and SHA-1 for the VM dataset's chunk
-//! fingerprints. This crate re-implements those primitives from scratch
-//! (verified against the standard FIPS/RFC test vectors) so the whole
-//! reproduction is self-contained.
+//! SHA-256 for the convergent hash key and deduplication fingerprints, and
+//! AES-256 for the AONT mask generator. This crate re-implements those
+//! primitives from scratch (verified against the standard FIPS/NIST test
+//! vectors) so the whole reproduction is self-contained.
 //!
-//! * [`sha256`] / [`sha1`] — incremental hash functions.
+//! * [`sha256`] — incremental SHA-256.
 //! * [`aes`] — AES-256 block cipher (encrypt/decrypt single blocks).
 //! * [`ctr`] — AES-256 in counter mode, used as the OAEP-style mask
 //!   generator `G(h) = E(h, C)` of CAONT-RS.
@@ -32,7 +31,6 @@
 
 pub mod aes;
 pub mod ctr;
-pub mod sha1;
 pub mod sha256;
 
 use core::fmt;

@@ -559,7 +559,7 @@ pub fn decode_response(msg_type: u8, payload: &[u8]) -> Option<(u64, Response)> 
 ///
 /// The structured variants clients branch on (`NotEnoughClouds`,
 /// `FileNotFound`, `MissingShare`, …) survive the crossing exactly; the
-/// server-internal ones (`Sharing`, `Storage`, `Cloud`) arrive as
+/// server-internal ones (`Sharing`, `Storage`) arrive as
 /// [`CdStoreError::Remote`] with the rendered message — their payloads are
 /// meaningless outside the server process.
 pub fn error_to_wire(e: &CdStoreError) -> Response {
@@ -567,7 +567,6 @@ pub fn error_to_wire(e: &CdStoreError) -> Response {
         CdStoreError::InvalidConfig(m) => (1, 0, 0, m.clone()),
         CdStoreError::Sharing(inner) => (2, 0, 0, inner.to_string()),
         CdStoreError::Storage(inner) => (3, 0, 0, inner.to_string()),
-        CdStoreError::Cloud(inner) => (4, 0, 0, inner.to_string()),
         CdStoreError::NotEnoughClouds { needed, available } => {
             (5, *needed as u64, *available as u64, String::new())
         }
@@ -600,8 +599,9 @@ pub fn error_from_wire(code: u8, needed: u64, available: u64, msg: String) -> Cd
         7 => CdStoreError::MissingShare(msg),
         8 => CdStoreError::IntegrityFailure(msg),
         9 => CdStoreError::InconsistentMetadata(msg),
-        // 2/3/4 (sharing/storage/cloud internals), 10 (already remote),
-        // 11 (server-side I/O), and any future code the client does not know.
+        // 2/3 (sharing/storage internals), 4 (retired simulated-cloud
+        // errors), 10 (already remote), 11 (server-side I/O), and any future
+        // code the client does not know.
         _ => CdStoreError::Remote(msg),
     }
 }

@@ -15,11 +15,7 @@
 //!   (a byte-prefix lands, then the call fails — exactly the crash shape the
 //!   journal/run/container formats must detect), full-outage windows,
 //!   slow-then-recover windows, and per-operation latency/bandwidth shaping
-//!   (driven by the Table 2 cloud profiles via
-//!   `cdstore_cloudsim::CloudProfile::shaping`).
-//!
-//! `cdstore_cloudsim::SimCloud` routes its WAN transfers through the same
-//! plan type, so the simulator and the chaos harness cannot drift apart.
+//!   (a [`Shaping`] carries a Table 2 cloud profile's numbers).
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -31,8 +27,7 @@ use parking_lot::Mutex;
 use crate::backend::{StorageBackend, StorageError};
 
 /// Bandwidth/latency shaping applied to every operation, mirroring the
-/// fields of `cdstore_cloudsim::CloudProfile` (that crate sits above this
-/// one, so the conversion lives there as `CloudProfile::shaping`).
+/// latency and bandwidth fields of `cdstore_cloudsim::CloudProfile`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shaping {
     /// Per-request round-trip latency in milliseconds.
@@ -101,7 +96,8 @@ pub struct FaultConfig {
     /// of its payload and then fails — the torn-write crash shape.
     pub torn_write_rate: f64,
     /// Latency/bandwidth shaping applied to every operation (none by
-    /// default). Use `CloudProfile::shaping` for the paper's Table 2 clouds.
+    /// default). Copy a `CloudProfile`'s numbers for the paper's Table 2
+    /// clouds.
     pub shaping: Option<Shaping>,
     /// Divide every injected delay by this factor, so tests can run Table 2
     /// bandwidths in compressed time (e.g. `1000.0` → milliseconds become
@@ -275,7 +271,7 @@ impl FaultPlan {
         }
     }
 
-    /// A clean pass-through plan (useful as the default inside `SimCloud`).
+    /// A clean pass-through plan.
     pub fn clean(seed: u64) -> Self {
         Self::new(FaultConfig::clean(seed))
     }

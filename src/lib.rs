@@ -6,7 +6,7 @@
 //! layers, bottom to top:
 //!
 //! * [`gf`] — GF(2^8) arithmetic, matrices, and region operations
-//! * [`crypto`] — SHA-1/SHA-256 hashing and AES-CTR encryption
+//! * [`crypto`] — SHA-256 hashing and AES-CTR encryption
 //! * [`chunking`] — fixed-size and Rabin content-defined chunking
 //! * [`erasure`] — systematic Reed-Solomon coding over GF(2^8)
 //! * [`secretsharing`] — AONT-RS, CAONT-RS, SSSS, RSSS, IDA, SSMS

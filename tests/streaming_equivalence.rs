@@ -1,20 +1,18 @@
-//! The streaming data path is byte-exact equivalent to the buffered one.
+//! A `Read` source is byte-exact equivalent to the same bytes cut up front.
 //!
 //! The chunk-boundary contract (`ChunkCutter` decisions depend only on the
 //! byte stream, never on `Read`-call slicing) plus the deterministic CAONT-RS
 //! encoding mean a streamed backup must produce the same secrets, the same
-//! shares, the same dedup accounting, and the same restored bytes as the
-//! buffered two-phase `prepare`/`commit` path — for every chunking algorithm
-//! and every way the input arrives. These tests pin that equivalence down,
-//! and assert the acceptance property that peak live chunk/share buffers are
-//! bounded by the pipeline depth, not the file size.
+//! shares, the same dedup accounting, and the same restored bytes as a
+//! `backup_chunks` of `chunker.chunk(data)` — for every chunking algorithm
+//! and every way the input arrives. These tests pin that equivalence down.
+//! (The memory bound of the pipeline plus per-cloud batches is asserted by
+//! the `client` unit tests, which can shrink the batch size.)
 
 use std::io::Read;
-use std::sync::Arc;
 
 use cdstore_chunking::{ChunkerConfig, ChunkerKind};
 use cdstore_core::{CdStore, CdStoreConfig, CdStoreError, PipelineConfig, UploadReport};
-use cdstore_secretsharing::{BufferPool, SecretSharing};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -96,12 +94,17 @@ fn store_with(kind: ChunkerKind) -> CdStore {
     )
 }
 
-/// The buffered reference path: explicit two-phase `prepare` + `commit`,
-/// which materialises the whole file and every share.
+/// The pre-cut reference path: the whole file is cut up front by the
+/// deployment's chunker and backed up with `backup_chunks`.
 fn buffered_backup(store: &CdStore, user: u64, path: &str, data: &[u8]) -> UploadReport {
     let client = store.client(user).unwrap();
-    let prepared = client.prepare(data).unwrap();
-    store.with_servers(|servers| client.commit(servers, path, prepared).unwrap())
+    let chunks: Vec<Vec<u8>> = client
+        .chunker()
+        .chunk(data)
+        .into_iter()
+        .map(|c| c.data)
+        .collect();
+    store.backup_chunks(user, path, &chunks).unwrap()
 }
 
 proptest! {
@@ -109,8 +112,7 @@ proptest! {
 
     /// For arbitrary content, chunker, read-slicing, and pipeline read-buffer
     /// size: the streamed upload produces the same secret count and dedup
-    /// accounting as the buffered two-phase path, and both restore
-    /// byte-exact.
+    /// accounting as the pre-cut path, and both restore byte-exact.
     #[test]
     fn streamed_backup_equals_buffered(
         seed in any::<u64>(),
@@ -121,7 +123,7 @@ proptest! {
         let data = backup_data(seed, 150_000 + (seed % 50_000) as usize);
         let read_cap = 1 + (seed % 7919) as usize;
 
-        // Buffered reference deployment.
+        // Pre-cut reference deployment.
         let buffered_store = store_with(kind);
         let buffered = buffered_backup(&buffered_store, 1, "/f", &data);
 
@@ -170,77 +172,6 @@ proptest! {
         prop_assert_eq!(store.restore(1, "/v1").unwrap(), data.clone());
         prop_assert_eq!(store.restore(1, "/v2").unwrap(), data);
     }
-}
-
-/// Acceptance criterion: a streamed backup of a file several times larger
-/// than the pipeline's buffer budget keeps peak live chunk/share buffers
-/// bounded by the pipeline depth plus the per-cloud batches — never O(file) —
-/// and restores byte-exact.
-#[test]
-fn streamed_backup_memory_is_bounded_by_pipeline_depth_not_file_size() {
-    let (n, k) = (4usize, 3usize);
-    let store = CdStore::new(
-        CdStoreConfig::new(n, k)
-            .unwrap()
-            .with_chunker(ChunkerConfig::new(2048, 8192, 16384))
-            .with_chunker_kind(ChunkerKind::FastCdc),
-    );
-    let client = store.client(1).unwrap();
-
-    let pool = Arc::new(BufferPool::new());
-    let config = PipelineConfig {
-        encode_threads: 2,
-        chunk_queue: 4,
-        encoded_queue: 4,
-        read_buffer: 16 * 1024,
-        pool: Some(Arc::clone(&pool)),
-    };
-    let batch_bytes: u64 = 64 * 1024;
-
-    // Byte budget of the pipeline: every pooled buffer holds at most one max
-    // chunk (or one of its shares, which are smaller), plus the n per-cloud
-    // batches. The input is >4x that.
-    let max_chunk = 16 * 1024u64;
-    let budget_bytes =
-        config.max_live_buffers(n) as u64 * max_chunk + n as u64 * (batch_bytes + max_chunk);
-    let data = backup_data(99, 8 * 1024 * 1024);
-    assert!(
-        (data.len() as u64) >= 4 * budget_bytes,
-        "input ({}) must dwarf the buffer budget ({budget_bytes})",
-        data.len()
-    );
-
-    let report = store.with_servers(|servers| {
-        client
-            .upload_stream_with_batch(servers, "/huge", &data[..], &config, batch_bytes)
-            .unwrap()
-    });
-    assert!(report.num_secrets as u64 > 4 * config.max_live_secrets() as u64);
-
-    // Buffer-count bound: the pipeline's live secrets, plus what the
-    // per-cloud batches can retain (each batched share is at least a
-    // min-chunk share).
-    let min_share = client.scheme().total_share_size(2048) as u64 / n as u64;
-    let bound = config.max_live_buffers(n) as u64 + n as u64 * (batch_bytes / min_share + 1);
-    let stats = pool.stats();
-    assert!(
-        (stats.peak_outstanding as u64) <= bound,
-        "peak live buffers {} exceeded the pipeline bound {bound}",
-        stats.peak_outstanding
-    );
-    assert_eq!(stats.outstanding, 0, "all buffers must return to the pool");
-    assert!(
-        stats.reuses > 10 * stats.allocations,
-        "steady state must recycle buffers (allocs={}, reuses={})",
-        stats.allocations,
-        stats.reuses
-    );
-
-    // And the restore is byte-exact, streamed out through a Write sink.
-    let mut restored = Vec::new();
-    let written = store.restore_stream(1, "/huge", &mut restored).unwrap();
-    assert_eq!(written, data.len() as u64);
-    assert_eq!(restored, data);
 }
 
 /// A mid-stream read failure surfaces as `CdStoreError::Io`, releases all
