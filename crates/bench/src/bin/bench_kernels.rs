@@ -1,5 +1,5 @@
 //! Perf trajectory for the low-level encode kernels: GF(2^8) region
-//! primitives and SHA-256, per ISA backend, written to `BENCH_kernels.json`
+//! primitives, SHA-256 and AES-256, per ISA backend, written to `BENCH_kernels.json`
 //! so this and future PRs leave a comparable curve (companion to
 //! `bench_encode`'s `BENCH_encode.json`).
 //!
@@ -17,9 +17,10 @@ use serde::Serialize;
 
 use cdstore_bench::fmt_speed;
 use cdstore_bench::kernelbench::{
-    gf_kernel_all_backends, sha_batch_speed, sha_single_speed, KernelSpeed,
+    aes_block_speed, aes_ctr_speed, gf_kernel_all_backends, sha_batch_speed, sha_single_speed,
+    KernelSpeed,
 };
-use cdstore_crypto::sha256;
+use cdstore_crypto::{aes, sha256};
 use cdstore_gf::region;
 
 /// One measured (kernel, backend) row.
@@ -42,6 +43,7 @@ struct BenchKernels {
     /// Backend the production dispatch selected on this host.
     gf_active_backend: &'static str,
     sha_active_backend: &'static str,
+    aes_active_backend: &'static str,
     rows: Vec<KernelRow>,
 }
 
@@ -88,37 +90,42 @@ fn main() {
     // SHA-256: one long message (the streaming hasher) and a batch of
     // share-sized messages (the client's fingerprint loop).
     let share_len = 4096;
+    let mut sha_single = Vec::new();
+    let mut sha_batch = Vec::new();
     for backend in sha256::Backend::available() {
-        let single = sha_single_speed(backend, region_bytes, reps);
-        println!(
-            "sha256/single   {:<7} {}",
-            backend.name(),
-            fmt_speed(single)
-        );
-        rows.push(KernelRow {
-            kernel: "sha256/single".to_string(),
+        sha_single.push(KernelSpeed {
             backend: backend.name(),
-            mbps: single,
-            speedup_vs_scalar: 1.0, // patched below once scalar is known
+            mbps: sha_single_speed(backend, region_bytes, reps),
         });
-        let batch = sha_batch_speed(backend, share_len, sha_lanes, reps);
-        println!("sha256/batch    {:<7} {}", backend.name(), fmt_speed(batch));
-        rows.push(KernelRow {
-            kernel: "sha256/batch".to_string(),
+        sha_batch.push(KernelSpeed {
             backend: backend.name(),
-            mbps: batch,
-            speedup_vs_scalar: 1.0,
+            mbps: sha_batch_speed(backend, share_len, sha_lanes, reps),
         });
     }
-    for kernel in ["sha256/single", "sha256/batch"] {
-        let scalar = rows
-            .iter()
-            .find(|r| r.kernel == kernel && r.backend == "scalar")
-            .expect("scalar backend is always available")
-            .mbps;
-        for row in rows.iter_mut().filter(|r| r.kernel == kernel) {
-            row.speedup_vs_scalar = row.mbps / scalar;
+    // AES-256: the CTR keystream (the CAONT-RS mask and SSMS) and one
+    // encrypt_block call per block (Rivest's AONT).
+    let mut aes_ctr = Vec::new();
+    let mut aes_block = Vec::new();
+    for backend in aes::Backend::available() {
+        aes_ctr.push(KernelSpeed {
+            backend: backend.name(),
+            mbps: aes_ctr_speed(backend, region_bytes, reps),
+        });
+        aes_block.push(KernelSpeed {
+            backend: backend.name(),
+            mbps: aes_block_speed(backend, region_bytes, reps),
+        });
+    }
+    for (kernel, speeds) in [
+        ("sha256/single", &sha_single),
+        ("sha256/batch", &sha_batch),
+        ("aes256/ctr", &aes_ctr),
+        ("aes256/block", &aes_block),
+    ] {
+        for s in speeds {
+            println!("{kernel:<15} {:<7} {}", s.backend, fmt_speed(s.mbps));
         }
+        rows.extend(rows_from(kernel, speeds));
     }
 
     let snapshot = BenchKernels {
@@ -127,12 +134,13 @@ fn main() {
         reps,
         gf_active_backend: region::Backend::active().name(),
         sha_active_backend: sha256::Backend::active().name(),
+        aes_active_backend: aes::Backend::active().name(),
         rows,
     };
     let json = serde_json::to_string_pretty(&snapshot).expect("serialise snapshot");
     std::fs::write(out_path, &json).expect("write BENCH_kernels.json");
     println!(
-        "active backends: gf={} sha={}; wrote {out_path}",
-        snapshot.gf_active_backend, snapshot.sha_active_backend
+        "active backends: gf={} sha={} aes={}; wrote {out_path}",
+        snapshot.gf_active_backend, snapshot.sha_active_backend, snapshot.aes_active_backend
     );
 }

@@ -1,5 +1,6 @@
 //! Measurement helpers for the low-level encode kernels: the GF(2^8) region
-//! primitives (`xor_into`, `mul_into`, `mul_acc`) and SHA-256, per backend.
+//! primitives (`xor_into`, `mul_into`, `mul_acc`), SHA-256 and AES-256, per
+//! backend.
 //!
 //! Used by the `bench_kernels` binary (perf trajectory `BENCH_kernels.json`).
 //! Every backend reported by [`Backend::available()`] is measured over the
@@ -8,6 +9,8 @@
 
 use std::time::Instant;
 
+use cdstore_crypto::aes::{self, Aes256};
+use cdstore_crypto::ctr::Aes256Ctr;
 use cdstore_crypto::sha256;
 use cdstore_gf::region::Backend;
 
@@ -16,7 +19,7 @@ use crate::MB;
 /// Throughput of one measured kernel on one backend.
 #[derive(Debug, Clone)]
 pub struct KernelSpeed {
-    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`).
+    /// Backend name (`scalar`, `ssse3`, `avx2`, `neon`, `sha-ni`, `aes-ni`).
     pub backend: &'static str,
     /// Median throughput in MB/s of region bytes processed.
     pub mbps: f64,
@@ -97,6 +100,35 @@ pub fn sha_batch_speed(backend: sha256::Backend, msg_len: usize, lanes: usize, r
         sink ^= digests[0][0];
     });
     std::hint::black_box(sink);
+    mbps
+}
+
+/// Measures AES-256-CTR keystream throughput on one backend: `reps` passes
+/// of the keystream XOR over one `region_len`-byte buffer, median MB/s.
+pub fn aes_ctr_speed(backend: aes::Backend, region_len: usize, reps: usize) -> f64 {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x8EBC_6AF0_9C88_C6E3);
+    let ctr = Aes256Ctr::new(&[0x42; aes::KEY_SIZE], 0);
+    let mbps = measure(region_len, reps, || {
+        ctr.apply_keystream_with(backend, &mut buf, 0);
+    });
+    std::hint::black_box(&buf);
+    mbps
+}
+
+/// Measures single-block AES-256 throughput on one backend: every 16-byte
+/// block of a `region_len`-byte buffer encrypted by its own
+/// `encrypt_block` call (the per-word pattern of Rivest's AONT), median MB/s.
+pub fn aes_block_speed(backend: aes::Backend, region_len: usize, reps: usize) -> f64 {
+    let mut buf = vec![0u8; region_len];
+    fill_deterministic(&mut buf, 0x5899_65CC_7537_4CC3);
+    let cipher = Aes256::new(&[0x42; aes::KEY_SIZE]);
+    let mbps = measure(region_len, reps, || {
+        for block in buf.chunks_exact_mut(aes::BLOCK_SIZE) {
+            cipher.encrypt_block_with(backend, block.try_into().expect("16-byte block"));
+        }
+    });
+    std::hint::black_box(&buf);
     mbps
 }
 

@@ -1,10 +1,23 @@
-//! AES-256 block cipher (FIPS 197), implemented from scratch.
+//! AES-256 block cipher (FIPS 197), forward direction only.
 //!
 //! CAONT-RS uses AES-256 as the encryption function `E` inside the mask
-//! generator `G(h) = E(h, C)` (Equation (3) of the paper). Only the forward
-//! cipher is needed for CTR-mode mask generation, but the inverse cipher is
-//! also provided so the crate is a complete, independently testable AES-256
-//! implementation.
+//! generator `G(h) = E(h, C)` (Equation (3) of the paper), run in CTR mode
+//! (see [`crate::ctr`]); Rivest's AONT baseline encrypts one index block per
+//! word. Both only need the forward cipher.
+//!
+//! # Kernel dispatch
+//!
+//! The rounds have two implementations over one shared key schedule: a
+//! byte-wise, table-driven software cipher, and x86 AES-NI
+//! (`aesenc`/`aesenclast`), which consumes the FIPS byte-order round keys
+//! directly. The software cipher is the reference the AES-NI path is
+//! differentially tested against, and the fallback on CPUs without AES-NI.
+//! Its S-box lookups are indexed by key-dependent bytes, so its timing
+//! depends on the cache and it is not constant-time; the key here is the
+//! convergent secret `h = H(X)`, which is why AES-NI (constant-time) is
+//! preferred wherever it is detected. [`Backend::active`] picks once per
+//! process and honours `CDSTORE_FORCE_SCALAR`, like the SHA-256 and GF(2^8)
+//! kernels.
 
 /// AES block size in bytes.
 pub const BLOCK_SIZE: usize = 16;
@@ -32,18 +45,6 @@ const SBOX: [u8; 256] = [
     0x8c, 0xa1, 0x89, 0x0d, 0xbf, 0xe6, 0x42, 0x68, 0x41, 0x99, 0x2d, 0x0f, 0xb0, 0x54, 0xbb, 0x16,
 ];
 
-const fn build_inv_sbox() -> [u8; 256] {
-    let mut inv = [0u8; 256];
-    let mut i = 0;
-    while i < 256 {
-        inv[SBOX[i] as usize] = i as u8;
-        i += 1;
-    }
-    inv
-}
-
-const INV_SBOX: [u8; 256] = build_inv_sbox();
-
 const RCON: [u8; 10] = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
 /// Multiplies a byte by `x` in AES's GF(2^8) (polynomial 0x11b).
@@ -57,19 +58,52 @@ const fn xtime(b: u8) -> u8 {
     }
 }
 
-/// Multiplies two bytes in AES's GF(2^8).
-const fn gmul(mut a: u8, mut b: u8) -> u8 {
-    let mut p = 0u8;
-    let mut i = 0;
-    while i < 8 {
-        if b & 1 != 0 {
-            p ^= a;
+/// An AES implementation selected by runtime CPU detection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// Portable table-driven software cipher; always available, not
+    /// constant-time.
+    Scalar,
+    /// x86 AES-NI; CTR keystream runs eight counter blocks per pass.
+    #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+    AesNi,
+}
+
+static ACTIVE: std::sync::OnceLock<Backend> = std::sync::OnceLock::new();
+
+impl Backend {
+    /// Every backend runnable on this CPU, scalar first (for the
+    /// differential test suite).
+    pub fn available() -> Vec<Backend> {
+        let mut v = vec![Backend::Scalar];
+        #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+        if ni::detected() {
+            v.push(Backend::AesNi);
         }
-        a = xtime(a);
-        b >>= 1;
-        i += 1;
+        v
     }
-    p
+
+    /// The backend encryption dispatches to, chosen once per process:
+    /// AES-NI where detected, unless `CDSTORE_FORCE_SCALAR` is set at first
+    /// use.
+    pub fn active() -> Backend {
+        *ACTIVE.get_or_init(|| {
+            if crate::force_scalar() {
+                Backend::Scalar
+            } else {
+                *Self::available().last().expect("scalar always available")
+            }
+        })
+    }
+
+    /// Human-readable backend name (used by benches and logs).
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Scalar => "scalar",
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            Backend::AesNi => "aes-ni",
+        }
+    }
 }
 
 /// An expanded AES-256 key schedule.
@@ -117,30 +151,27 @@ impl Aes256 {
 
     /// Encrypts a single 16-byte block in place.
     pub fn encrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
-        }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        self.encrypt_block_with(Backend::active(), block);
     }
 
-    /// Decrypts a single 16-byte block in place.
-    pub fn decrypt_block(&self, block: &mut [u8; BLOCK_SIZE]) {
-        add_round_key(block, &self.round_keys[ROUNDS]);
-        inv_shift_rows(block);
-        inv_sub_bytes(block);
-        for round in (1..ROUNDS).rev() {
-            add_round_key(block, &self.round_keys[round]);
-            inv_mix_columns(block);
-            inv_shift_rows(block);
-            inv_sub_bytes(block);
+    /// [`Aes256::encrypt_block`] on an explicit backend, so one process can
+    /// compare every backend.
+    ///
+    /// # Panics
+    ///
+    /// If `backend` is not in [`Backend::available`].
+    #[allow(unsafe_code)] // the AES-NI arm checks CPU support first
+    pub fn encrypt_block_with(&self, backend: Backend, block: &mut [u8; BLOCK_SIZE]) {
+        match backend {
+            Backend::Scalar => encrypt_scalar(&self.round_keys, &self.round_keys[ROUNDS], block),
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            Backend::AesNi => {
+                assert!(ni::detected(), "AES-NI backend on a CPU without AES-NI");
+                // SAFETY: `ni::detected()` confirmed the `aes` and `sse2`
+                // features the function is compiled for.
+                unsafe { ni::encrypt_block(&self.round_keys, block) }
+            }
         }
-        add_round_key(block, &self.round_keys[0]);
     }
 
     /// Encrypts a block, returning the ciphertext instead of mutating.
@@ -150,12 +181,71 @@ impl Aes256 {
         out
     }
 
-    /// Decrypts a block, returning the plaintext instead of mutating.
-    pub fn decrypt(&self, block: &[u8; BLOCK_SIZE]) -> [u8; BLOCK_SIZE] {
-        let mut out = *block;
-        self.decrypt_block(&mut out);
-        out
+    /// XORs the CTR keystream, each byte also XORed with `constant`, into
+    /// `buf`: `buf ^= E(nonce ‖ counter) ⊕ constant`, with 16-byte
+    /// big-endian counter blocks starting at `start_block`. The low 64 bits
+    /// wrap without carrying into the nonce. `constant` is folded into the
+    /// last round key, which `aesenclast`/`AddRoundKey` XOR in anyway, so it
+    /// costs no pass of its own.
+    ///
+    /// # Panics
+    ///
+    /// If `backend` is not in [`Backend::available`].
+    #[allow(unsafe_code)] // the AES-NI arm checks CPU support first
+    pub(crate) fn xor_ctr_keystream(
+        &self,
+        backend: Backend,
+        nonce: u64,
+        start_block: u64,
+        constant: u8,
+        buf: &mut [u8],
+    ) {
+        let mut last = self.round_keys[ROUNDS];
+        for k in last.iter_mut() {
+            *k ^= constant;
+        }
+        match backend {
+            Backend::Scalar => {
+                let mut counter = start_block;
+                for chunk in buf.chunks_mut(BLOCK_SIZE) {
+                    let mut block = [0u8; BLOCK_SIZE];
+                    block[..8].copy_from_slice(&nonce.to_be_bytes());
+                    block[8..].copy_from_slice(&counter.to_be_bytes());
+                    encrypt_scalar(&self.round_keys, &last, &mut block);
+                    for (b, k) in chunk.iter_mut().zip(block.iter()) {
+                        *b ^= k;
+                    }
+                    counter = counter.wrapping_add(1);
+                }
+            }
+            #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+            Backend::AesNi => {
+                assert!(ni::detected(), "AES-NI backend on a CPU without AES-NI");
+                // SAFETY: `ni::detected()` confirmed the `aes` and `sse2`
+                // features the function is compiled for.
+                unsafe { ni::xor_ctr_keystream(&self.round_keys, &last, nonce, start_block, buf) }
+            }
+        }
     }
+}
+
+/// The software cipher: rounds keyed by `round_keys[..ROUNDS]`, then `last`
+/// in place of `round_keys[ROUNDS]` as the final round key.
+fn encrypt_scalar(
+    round_keys: &[[u8; 16]; ROUNDS + 1],
+    last: &[u8; 16],
+    block: &mut [u8; BLOCK_SIZE],
+) {
+    add_round_key(block, &round_keys[0]);
+    for rk in &round_keys[1..ROUNDS] {
+        sub_bytes(block);
+        shift_rows(block);
+        mix_columns(block);
+        add_round_key(block, rk);
+    }
+    sub_bytes(block);
+    shift_rows(block);
+    add_round_key(block, last);
 }
 
 #[inline]
@@ -169,13 +259,6 @@ fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
 fn sub_bytes(state: &mut [u8; 16]) {
     for s in state.iter_mut() {
         *s = SBOX[*s as usize];
-    }
-}
-
-#[inline]
-fn inv_sub_bytes(state: &mut [u8; 16]) {
-    for s in state.iter_mut() {
-        *s = INV_SBOX[*s as usize];
     }
 }
 
@@ -201,25 +284,6 @@ fn shift_rows(state: &mut [u8; 16]) {
 }
 
 #[inline]
-fn inv_shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift right by 1.
-    let t = state[13];
-    state[13] = state[9];
-    state[9] = state[5];
-    state[5] = state[1];
-    state[1] = t;
-    // Row 2: shift right by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift right by 3 (== left by 1).
-    let t = state[3];
-    state[3] = state[7];
-    state[7] = state[11];
-    state[11] = state[15];
-    state[15] = t;
-}
-
-#[inline]
 fn mix_columns(state: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [
@@ -235,23 +299,116 @@ fn mix_columns(state: &mut [u8; 16]) {
     }
 }
 
-#[inline]
-fn inv_mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[4 * c],
-            state[4 * c + 1],
-            state[4 * c + 2],
-            state[4 * c + 3],
-        ];
-        state[4 * c] =
-            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
-        state[4 * c + 1] =
-            gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
-        state[4 * c + 2] =
-            gmul(col[0], 0x0d) ^ gmul(col[1], 0x09) ^ gmul(col[2], 0x0e) ^ gmul(col[3], 0x0b);
-        state[4 * c + 3] =
-            gmul(col[0], 0x0b) ^ gmul(col[1], 0x0d) ^ gmul(col[2], 0x09) ^ gmul(col[3], 0x0e);
+#[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
+#[allow(unsafe_code)]
+mod ni {
+    //! x86 AES-NI: `aesenc` for rounds 1..13 and `aesenclast` for round 14,
+    //! keyed by the software schedule's round keys loaded as-is.
+
+    use super::{BLOCK_SIZE, ROUNDS};
+    #[cfg(target_arch = "x86")]
+    use core::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use core::arch::x86_64::*;
+
+    /// Counter blocks encrypted per CTR pass. `aesenc` has a latency of
+    /// several cycles but issues every cycle, so eight independent blocks
+    /// keep the unit busy.
+    const LANES: usize = 8;
+
+    /// Whether this CPU runs the functions below.
+    pub fn detected() -> bool {
+        is_x86_feature_detected!("aes") && is_x86_feature_detected!("sse2")
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn load_keys(round_keys: &[[u8; 16]; ROUNDS + 1], last: &[u8; 16]) -> [__m128i; ROUNDS + 1] {
+        let mut keys = [_mm_setzero_si128(); ROUNDS + 1];
+        for (k, rk) in keys.iter_mut().zip(&round_keys[..ROUNDS]) {
+            // SAFETY: `rk` is 16 readable bytes; the load is unaligned.
+            *k = unsafe { _mm_loadu_si128(rk.as_ptr().cast()) };
+        }
+        // SAFETY: as above.
+        keys[ROUNDS] = unsafe { _mm_loadu_si128(last.as_ptr().cast()) };
+        keys
+    }
+
+    #[inline]
+    #[target_feature(enable = "aes,sse2")]
+    fn encrypt(keys: &[__m128i; ROUNDS + 1], block: __m128i) -> __m128i {
+        let mut b = _mm_xor_si128(block, keys[0]);
+        for k in &keys[1..ROUNDS] {
+            b = _mm_aesenc_si128(b, *k);
+        }
+        _mm_aesenclast_si128(b, keys[ROUNDS])
+    }
+
+    /// The CTR counter block `nonce ‖ counter`, both big-endian; `nonce_le`
+    /// is the nonce already byte-swapped for a little-endian lane.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn counter_block(nonce_le: i64, counter: u64) -> __m128i {
+        _mm_set_epi64x(counter.swap_bytes() as i64, nonce_le)
+    }
+
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn encrypt_block(round_keys: &[[u8; 16]; ROUNDS + 1], block: &mut [u8; BLOCK_SIZE]) {
+        let keys = load_keys(round_keys, &round_keys[ROUNDS]);
+        let p = block.as_mut_ptr().cast::<__m128i>();
+        _mm_storeu_si128(p, encrypt(&keys, _mm_loadu_si128(p)));
+    }
+
+    /// `buf ^= E(nonce ‖ counter)` from `start_block` on, with `last` as the
+    /// final round key (see `Aes256::xor_ctr_keystream`).
+    ///
+    /// # Safety
+    ///
+    /// Caller must ensure the `aes` and `sse2` features are available.
+    #[target_feature(enable = "aes,sse2")]
+    pub unsafe fn xor_ctr_keystream(
+        round_keys: &[[u8; 16]; ROUNDS + 1],
+        last: &[u8; 16],
+        nonce: u64,
+        start_block: u64,
+        buf: &mut [u8],
+    ) {
+        let keys = load_keys(round_keys, last);
+        let nonce_le = nonce.swap_bytes() as i64;
+        let mut counter = start_block;
+        let mut body = buf.chunks_exact_mut(BLOCK_SIZE * LANES);
+        for chunk in &mut body {
+            let mut lanes = [_mm_setzero_si128(); LANES];
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                let block = counter_block(nonce_le, counter.wrapping_add(i as u64));
+                *lane = _mm_xor_si128(block, keys[0]);
+            }
+            for k in &keys[1..ROUNDS] {
+                for lane in lanes.iter_mut() {
+                    *lane = _mm_aesenc_si128(*lane, *k);
+                }
+            }
+            for (lane, out) in lanes.iter().zip(chunk.chunks_exact_mut(BLOCK_SIZE)) {
+                let p = out.as_mut_ptr().cast::<__m128i>();
+                let keystream = _mm_aesenclast_si128(*lane, keys[ROUNDS]);
+                _mm_storeu_si128(p, _mm_xor_si128(_mm_loadu_si128(p), keystream));
+            }
+            counter = counter.wrapping_add(LANES as u64);
+        }
+        // Fewer than eight blocks left, the last possibly partial: one block
+        // at a time through a stack copy.
+        for chunk in body.into_remainder().chunks_mut(BLOCK_SIZE) {
+            let mut keystream = [0u8; BLOCK_SIZE];
+            let block = encrypt(&keys, counter_block(nonce_le, counter));
+            _mm_storeu_si128(keystream.as_mut_ptr().cast(), block);
+            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *b ^= k;
+            }
+            counter = counter.wrapping_add(1);
+        }
     }
 }
 
@@ -267,7 +424,7 @@ mod tests {
             .collect()
     }
 
-    /// FIPS 197 Appendix C.3 AES-256 example vector.
+    /// FIPS 197 Appendix C.3 AES-256 example vector, on every backend.
     #[test]
     fn fips197_appendix_c3() {
         let key_bytes =
@@ -277,12 +434,23 @@ mod tests {
         let pt: [u8; 16] = parse_hex("00112233445566778899aabbccddeeff")
             .try_into()
             .unwrap();
-        let ct = aes.encrypt(&pt);
-        assert_eq!(ct.to_vec(), parse_hex("8ea2b7ca516745bfeafc49904b496089"));
-        assert_eq!(aes.decrypt(&ct), pt);
+        for backend in Backend::available() {
+            let mut ct = pt;
+            aes.encrypt_block_with(backend, &mut ct);
+            assert_eq!(
+                ct.to_vec(),
+                parse_hex("8ea2b7ca516745bfeafc49904b496089"),
+                "{}",
+                backend.name()
+            );
+        }
+        assert_eq!(
+            aes.encrypt(&pt).to_vec(),
+            parse_hex("8ea2b7ca516745bfeafc49904b496089")
+        );
     }
 
-    /// NIST SP 800-38A F.1.5 (ECB-AES256.Encrypt) vectors.
+    /// NIST SP 800-38A F.1.5 (ECB-AES256.Encrypt) vectors, on every backend.
     #[test]
     fn sp800_38a_ecb_vectors() {
         let key: [u8; 32] =
@@ -308,38 +476,13 @@ mod tests {
                 "23304b7a39f9f3ff067d8d8f9e24ecc7",
             ),
         ];
-        for (pt_hex, ct_hex) in cases {
-            let pt: [u8; 16] = parse_hex(pt_hex).try_into().unwrap();
-            let ct = aes.encrypt(&pt);
-            assert_eq!(ct.to_vec(), parse_hex(ct_hex));
-            assert_eq!(aes.decrypt(&ct), pt);
+        for backend in Backend::available() {
+            for (pt_hex, ct_hex) in cases {
+                let mut block: [u8; 16] = parse_hex(pt_hex).try_into().unwrap();
+                aes.encrypt_block_with(backend, &mut block);
+                assert_eq!(block.to_vec(), parse_hex(ct_hex), "{}", backend.name());
+            }
         }
-    }
-
-    #[test]
-    fn inv_sbox_inverts_sbox() {
-        for b in 0..=255u8 {
-            assert_eq!(INV_SBOX[SBOX[b as usize] as usize], b);
-        }
-    }
-
-    #[test]
-    fn mix_columns_round_trips() {
-        let mut state: [u8; 16] = (0..16u8).collect::<Vec<u8>>().try_into().unwrap();
-        let original = state;
-        mix_columns(&mut state);
-        assert_ne!(state, original);
-        inv_mix_columns(&mut state);
-        assert_eq!(state, original);
-    }
-
-    #[test]
-    fn shift_rows_round_trips() {
-        let mut state: [u8; 16] = (0..16u8).collect::<Vec<u8>>().try_into().unwrap();
-        let original = state;
-        shift_rows(&mut state);
-        inv_shift_rows(&mut state);
-        assert_eq!(state, original);
     }
 
     #[test]
@@ -353,13 +496,17 @@ mod tests {
 
     proptest! {
         #[test]
-        fn encrypt_decrypt_round_trips(key in proptest::array::uniform32(any::<u8>()),
-                                       block in proptest::collection::vec(any::<u8>(), 16)) {
+        fn backends_agree_on_random_blocks(key in proptest::array::uniform32(any::<u8>()),
+                                           block in proptest::collection::vec(any::<u8>(), 16)) {
             let aes = Aes256::new(&key);
-            let pt: [u8; 16] = block.try_into().unwrap();
-            let ct = aes.encrypt(&pt);
-            prop_assert_eq!(aes.decrypt(&ct), pt);
-            prop_assert_ne!(ct, pt); // overwhelmingly likely
+            let block: [u8; 16] = block.try_into().unwrap();
+            let mut reference = block;
+            aes.encrypt_block_with(Backend::Scalar, &mut reference);
+            for backend in Backend::available() {
+                let mut ct = block;
+                aes.encrypt_block_with(backend, &mut ct);
+                prop_assert_eq!((backend, ct), (backend, reference));
+            }
         }
     }
 }

@@ -6,8 +6,8 @@
 //! primitives from scratch (verified against the standard FIPS/NIST test
 //! vectors) so the whole reproduction is self-contained.
 //!
-//! * [`sha256`] — incremental SHA-256.
-//! * [`aes`] — AES-256 block cipher (encrypt/decrypt single blocks).
+//! * [`sha256`] — incremental SHA-256 (SHA-NI where detected).
+//! * [`aes`] — the AES-256 forward cipher (AES-NI where detected).
 //! * [`ctr`] — AES-256 in counter mode, used as the OAEP-style mask
 //!   generator `G(h) = E(h, C)` of CAONT-RS.
 //! * [`Fingerprint`] — a 32-byte content fingerprint with hex formatting,
@@ -24,8 +24,8 @@
 //! ```
 
 // Unsafe is denied crate-wide and re-allowed only for the SHA-NI module in
-// `sha256`, whose intrinsics carry per-function safety contracts (CPU
-// feature detection before dispatch).
+// `sha256` and the AES-NI module in `aes`, whose intrinsics carry
+// per-function safety contracts (CPU feature detection before dispatch).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -34,6 +34,12 @@ pub mod ctr;
 pub mod sha256;
 
 use core::fmt;
+
+/// Whether `CDSTORE_FORCE_SCALAR` (set to anything but `0`) pins the kernel
+/// dispatches of this crate to their scalar backends.
+fn force_scalar() -> bool {
+    std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0")
+}
 
 /// A 256-bit content fingerprint (SHA-256 output) identifying a chunk or a
 /// share for deduplication.

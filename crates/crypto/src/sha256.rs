@@ -73,8 +73,7 @@ impl Backend {
     /// where detected, unless `CDSTORE_FORCE_SCALAR` is set at first use.
     pub fn active() -> Backend {
         *ACTIVE.get_or_init(|| {
-            let force_scalar = std::env::var_os("CDSTORE_FORCE_SCALAR").is_some_and(|v| v != "0");
-            if force_scalar {
+            if crate::force_scalar() {
                 Backend::Scalar
             } else {
                 *Self::available().last().expect("scalar always available")
